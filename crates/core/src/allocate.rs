@@ -16,6 +16,29 @@
 //!   latest finish (minus the transfer back);
 //! - the job deadline, tightened by an optimistic estimate of the work
 //!   remaining downstream of each task.
+//!
+//! # Transitions
+//!
+//! A level's states come from probing [`Availability::earliest_fit`] once
+//! per surviving `(target node, previous state)` candidate. Most of the
+//! all-pairs candidates would be thrown away by the Pareto prune, so the
+//! transition skips those it can prove dead *before* probing them:
+//!
+//! - the previous level's states are sorted once per level by
+//!   `(finish, cost, parent)`, which orders candidates by ready time;
+//! - for each target node the candidates are grouped by stall (equal stall
+//!   means equal probe duration and step cost), the stall being computed
+//!   once per `(node, previous node)` with a non-empty frontier;
+//! - within a group `earliest_fit` is monotone in its ready time, so a
+//!   candidate whose `(cost, parent)` is larger than an earlier one's is
+//!   dominated and never probed; a failed probe, or a ready time past the
+//!   finish bound, ends the group, and a ready time no later than the last
+//!   probe's answer reuses that answer.
+//!
+//! The prune breaks `(finish, cost)` ties on the parent, so its result
+//! does not depend on the order candidates were pushed in, and the skipped
+//! candidates are exactly those it would have dropped: placements, parents
+//! and tie-breaks are those of the all-pairs transition (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -118,6 +141,30 @@ struct State {
     parent: Option<(usize, usize)>,
 }
 
+/// A previous-level state seen as the source of a transition.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    finish: SimTime,
+    cost: Cost,
+    /// `(node index, state index)` in the previous level: the parent of
+    /// every state derived from this one.
+    id: (usize, usize),
+}
+
+/// The candidates of one target node whose transitions share a stall, and
+/// therefore a probe duration and a step cost.
+#[derive(Debug, Clone, Copy)]
+struct StallGroup {
+    stall: SimDuration,
+    dur: SimDuration,
+    step_cost: Cost,
+    /// `(cost, parent, start)` of the last probed candidate; its
+    /// `(cost, parent)` is the smallest of the group's candidates so far.
+    last: Option<(Cost, (usize, usize), SimTime)>,
+    /// No later candidate of the group can fit.
+    dead: bool,
+}
+
 /// Reusable buffers for the co-allocation dynamic program.
 ///
 /// One scheduling pass allocates several chains against the same
@@ -142,6 +189,13 @@ pub struct AllocScratch {
     /// `(node index, stall, cost)` alongside each gathered probe.
     probe_meta: Vec<(usize, SimDuration, Cost)>,
     probe_results: Vec<Option<SimTime>>,
+    /// The previous level's states, sorted by `(finish, cost, parent)`.
+    sources: Vec<Source>,
+    /// Stall groups of the target node being expanded.
+    groups: Vec<StallGroup>,
+    /// `groups` index per previous node (read only for non-empty
+    /// frontiers).
+    group_of: Vec<usize>,
 }
 
 impl AllocScratch {
@@ -227,6 +281,9 @@ pub fn allocate_chain_into<A: Availability>(
         probe_requests,
         probe_meta,
         probe_results,
+        sources,
+        groups,
+        group_of,
     } = scratch;
     let rem: &[SimDuration] = rem;
     let nodes: &[NodeId] = nodes;
@@ -250,10 +307,34 @@ pub fn allocate_chain_into<A: Availability>(
         let (done, rest) = frontiers.split_at_mut(pos);
         let level = &mut rest[0];
         let prev_level = done.last();
-        if pos == 0 {
-            probe_requests.clear();
-            probe_meta.clear();
-        }
+        // The previous level and the volume of the arc connecting the
+        // previous chain element to this one (`None` at the chain head).
+        let transition = match prev_level {
+            Some(prev_frontier) => {
+                sources.clear();
+                for (pni, states) in prev_frontier.iter().enumerate() {
+                    sources.extend(states.iter().enumerate().map(|(si, s)| Source {
+                        finish: s.finish,
+                        cost: s.cost,
+                        id: (pni, si),
+                    }));
+                }
+                sources.sort_unstable_by_key(|s| (s.finish, s.cost, s.id));
+                group_of.resize(nodes.len(), 0);
+                let prev_task = chain[pos - 1];
+                let chain_edge = ctx
+                    .job
+                    .incoming(task_id)
+                    .find(|e| e.from() == prev_task)
+                    .expect("consecutive chain tasks are connected");
+                Some((prev_frontier, chain_edge.volume()))
+            }
+            None => {
+                probe_requests.clear();
+                probe_meta.clear();
+                None
+            }
+        };
         for (ni, &node_id) in nodes.iter().enumerate() {
             if let Some(domain) = ctx.domain {
                 if ctx.pool.node(node_id).domain() != domain {
@@ -292,7 +373,7 @@ pub fn allocate_chain_into<A: Availability>(
                     }
                 }
             }
-            if pos == 0 {
+            let Some((prev_frontier, chain_volume)) = transition else {
                 // Gather the chain-head probe instead of fitting inline:
                 // nodes iterate in ascending id order, so the batch meets
                 // `earliest_fit_batch`'s strictly-ascending precondition
@@ -305,42 +386,70 @@ pub fn allocate_chain_into<A: Availability>(
                     deadline: finish_bound,
                 });
                 probe_meta.push((ni, stall_placed, task_cost(task.volume(), dur)));
-            } else {
-                // The arc connecting the previous chain element to this one.
-                let prev_task = chain[pos - 1];
-                let chain_edge = ctx
-                    .job
-                    .incoming(task_id)
-                    .find(|e| e.from() == prev_task)
-                    .expect("consecutive chain tasks are connected");
-                let prev_frontier = prev_level.expect("pos > 0 has a previous level");
-                for (pni, prev_states) in prev_frontier.iter().enumerate() {
-                    let prev_node = nodes[pni];
-                    let chain_stall = ctx.policy.consumer_delay(
-                        chain_edge.volume(),
-                        prev_node,
-                        node_id,
-                        ctx.pool,
-                    );
-                    let stall = stall_placed.max(chain_stall);
-                    let dur = stall + exec;
-                    let step_cost = task_cost(task.volume(), dur);
-                    for (si, prev) in prev_states.iter().enumerate() {
-                        let ready = ready_placed.max_of(prev.finish);
-                        if let Some(state) = fit_state(
-                            availability,
-                            node_id,
-                            ready,
-                            dur,
-                            stall,
-                            finish_bound,
-                            prev.cost + step_cost,
-                            Some((pni, si)),
-                        ) {
-                            level[ni].push(state);
-                        }
-                    }
+                continue;
+            };
+            groups.clear();
+            for (pni, prev_states) in prev_frontier.iter().enumerate() {
+                if prev_states.is_empty() {
+                    continue;
                 }
+                let chain_stall =
+                    ctx.policy
+                        .consumer_delay(chain_volume, nodes[pni], node_id, ctx.pool);
+                let stall = stall_placed.max(chain_stall);
+                group_of[pni] = match groups.iter().position(|g| g.stall == stall) {
+                    Some(g) => g,
+                    None => {
+                        let dur = stall + exec;
+                        groups.push(StallGroup {
+                            stall,
+                            dur,
+                            step_cost: task_cost(task.volume(), dur),
+                            last: None,
+                            dead: false,
+                        });
+                        groups.len() - 1
+                    }
+                };
+            }
+            // Walk the candidates in ready order. Within a group every
+            // earlier candidate fits no later than this one (the
+            // `earliest_fit` monotonicity contract), so one with a larger
+            // `(cost, parent)` than the group's last probed one is dominated.
+            let mut live = groups.len();
+            for src in sources.iter() {
+                let g = &mut groups[group_of[src.id.0]];
+                if g.dead {
+                    continue;
+                }
+                let cost = src.cost + g.step_cost;
+                if g.last
+                    .is_some_and(|(c, parent, _)| (c, parent) < (cost, src.id))
+                {
+                    continue;
+                }
+                let ready = ready_placed.max_of(src.finish);
+                let start = match g.last {
+                    Some((_, _, last_start)) if ready <= last_start => Some(last_start),
+                    _ if !g.dur.is_zero() && ready.saturating_add(g.dur) > finish_bound => None,
+                    _ => availability.earliest_fit(node_id, ready, g.dur, finish_bound),
+                };
+                let Some(start) = start else {
+                    g.dead = true;
+                    live -= 1;
+                    if live == 0 {
+                        break;
+                    }
+                    continue;
+                };
+                g.last = Some((cost, src.id, start));
+                level[ni].push(State {
+                    start,
+                    finish: start + g.dur,
+                    stall: g.stall,
+                    cost,
+                    parent: Some(src.id),
+                });
             }
         }
         if pos == 0 {
@@ -436,30 +545,13 @@ fn saturating_deadline(deadline: SimTime, slack: SimDuration) -> SimTime {
     SimTime::from_ticks(deadline.ticks().saturating_sub(slack.ticks()))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fit_state<A: Availability>(
-    availability: &A,
-    node: NodeId,
-    ready: SimTime,
-    duration: SimDuration,
-    stall: SimDuration,
-    finish_bound: SimTime,
-    cost: Cost,
-    parent: Option<(usize, usize)>,
-) -> Option<State> {
-    let start = availability.earliest_fit(node, ready, duration, finish_bound)?;
-    Some(State {
-        start,
-        finish: start + duration,
-        stall,
-        cost,
-        parent,
-    })
-}
-
 /// Keeps only non-dominated `(finish, cost)` states, sorted by finish.
+///
+/// Of several states with equal `(finish, cost)` the one with the smallest
+/// parent survives, so the result does not depend on the order the states
+/// were pushed in.
 fn prune_pareto(states: &mut Vec<State>) {
-    states.sort_by_key(|s| (s.finish, s.cost));
+    states.sort_unstable_by_key(|s| (s.finish, s.cost, s.parent));
     let mut best_cost = Cost::MAX;
     states.retain(|s| {
         if s.cost < best_cost {
@@ -658,5 +750,48 @@ mod tests {
         let kept: Vec<(u64, Cost)> = states.iter().map(|s| (s.finish.ticks(), s.cost)).collect();
         // Sorted by finish, strictly decreasing cost: (5,10), (7,7), (10,5).
         assert_eq!(kept, vec![(5, 10), (7, 7), (10, 5)]);
+    }
+
+    #[test]
+    fn pareto_prune_keeps_smallest_parent_whatever_the_push_order() {
+        let mk = |finish: u64, cost: Cost, parent: (usize, usize)| State {
+            start: SimTime::from_ticks(finish - 1),
+            finish: SimTime::from_ticks(finish),
+            stall: SimDuration::ZERO,
+            cost,
+            parent: Some(parent),
+        };
+        // Three `(5, 10)` ties, two `(7, 7)` ties, one dominated state.
+        let states = [
+            mk(5, 10, (2, 0)),
+            mk(7, 7, (3, 1)),
+            mk(5, 10, (0, 4)),
+            mk(9, 7, (0, 0)),
+            mk(7, 7, (1, 2)),
+            mk(5, 10, (1, 0)),
+            mk(10, 5, (4, 0)),
+        ];
+        let expected = vec![
+            (5, 10, Some((0, 4))),
+            (7, 7, Some((1, 2))),
+            (10, 5, Some((4, 0))),
+        ];
+        // Every rotation of every reversal: each state takes each
+        // position, and each tie meets its rivals in both orders.
+        for reversed in [false, true] {
+            for shift in 0..states.len() {
+                let mut pushed = states.to_vec();
+                if reversed {
+                    pushed.reverse();
+                }
+                pushed.rotate_left(shift);
+                prune_pareto(&mut pushed);
+                let kept: Vec<_> = pushed
+                    .iter()
+                    .map(|s| (s.finish.ticks(), s.cost, s.parent))
+                    .collect();
+                assert_eq!(kept, expected, "reversed {reversed}, shift {shift}");
+            }
+        }
     }
 }

@@ -1089,8 +1089,9 @@ impl<'a> Campaign<'a> {
             });
         }
         // Surviving activated jobs ran to completion: record the terminal
-        // fact. Completion is only *known* once the horizon closes, so the
-        // events are stamped at the horizon and carry the realized end.
+        // fact. Completion is only *known* once the run closes, so the
+        // events are stamped at the horizon — or at the last traced event
+        // when releases ran past it — and carry the realized end.
         // Jobs whose completion the online loop already observed (and
         // traced at its realized instant) are skipped. Events land in
         // global activation order — the pre-hierarchy trace order.
@@ -1110,10 +1111,14 @@ impl<'a> Campaign<'a> {
                 (a.job.id(), end)
             })
             .collect();
-        let horizon_end = self.horizon_end;
+        let closed_at = self
+            .trace
+            .as_ref()
+            .and_then(|t| t.events().last())
+            .map_or(self.horizon_end, |&(t, _)| t.max_of(self.horizon_end));
         for (job, end) in completions {
             self.record_event(
-                horizon_end,
+                closed_at,
                 crate::trace::CampaignEvent::Completed { job, end },
             );
         }

@@ -279,3 +279,35 @@ fn violations_are_classified() {
         Err(OracleViolation::FaultAccountingMismatch { field: "drops", .. })
     ));
 }
+
+// ---- Releases past the horizon ----------------------------------------
+
+/// Jobs released after the horizon closes are traced at their release
+/// instants; the completions `finalize` records for surviving jobs must
+/// not be stamped before them.
+#[test]
+fn releases_past_the_horizon_keep_the_trace_chronological() {
+    for seed in [1, 2, 3, 101] {
+        let config = CampaignConfig {
+            jobs: 60,
+            job_gap: SimDuration::from_ticks(6),
+            horizon: SimDuration::from_ticks(100),
+            collect_trace: true,
+            seed,
+            ..CampaignConfig::default()
+        };
+        let report = run_campaign(&config);
+        let events = report.trace.as_ref().expect("trace collected").events();
+        let last_release = events
+            .iter()
+            .filter(|(_, e)| matches!(e, CampaignEvent::Released { .. }))
+            .map(|&(t, _)| t)
+            .max()
+            .expect("jobs were released");
+        assert!(
+            last_release > SimTime::ZERO + config.horizon,
+            "seed {seed}: the case needs a release past the horizon"
+        );
+        oracle::audit(&report).unwrap_or_else(|v| panic!("seed {seed}: oracle violation: {v}"));
+    }
+}

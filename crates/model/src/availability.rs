@@ -383,6 +383,15 @@ pub trait Availability {
 
     /// Earliest start `s >= not_before` on `node` such that
     /// `[s, s + duration)` is free and ends no later than `deadline`.
+    /// A zero `duration` answers `not_before` whatever the deadline.
+    ///
+    /// Implementations must return the *earliest* such start, which makes
+    /// the answer monotone in `not_before` for a fixed node, duration and
+    /// deadline: `r <= r'` implies `earliest_fit(r) <= earliest_fit(r')`
+    /// (`None` ordering above every start), and `earliest_fit(r) == s`
+    /// implies `earliest_fit(r') == s` for every `r'` in `[r, s]`. The
+    /// critical-works DP relies on this to skip candidates without
+    /// probing them (DESIGN.md §10).
     fn earliest_fit(
         &self,
         node: NodeId,
